@@ -610,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="otp",
         help="shard staging level: none = all-live baseline, dtw = "
         "batched motion DTW, probe = also batch the Phase-1 probe DSP, "
-        "otp = also wave-batch the Phase-2 OTP modem (degrades to dtw "
-        "under fault injection); the aggregate is byte-identical across "
-        "levels",
+        "otp = also wave-batch the Phase-2 OTP modem (fault hooks run per "
+        "row; an acoustic fault at probe-tx turns off probe staging "
+        "only); the aggregate is byte-identical across levels",
     )
     fleet_run.add_argument(
         "--out", default=None, help="write the aggregate JSON here"

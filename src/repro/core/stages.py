@@ -276,7 +276,9 @@ class EnginePause:
     the pass continues past the paused stage, and the next arrival at
     that stage — a NACK retransmission jumping back, or a re-probe
     sweeping forward through it — pauses again, which is what lets a
-    batch orchestrator stage every retransmission wave too.
+    batch orchestrator stage every retransmission wave too.  While
+    paused, ``ctx.tracer`` is ``None``: out-of-band work on the context
+    is not attributed to any of the session's spans.
     """
 
     ctx: SessionContext
@@ -390,7 +392,6 @@ class StageEngine:
                 f"pause_before {pause_before!r} is not a stage of this "
                 f"engine ({self.stage_names})"
             )
-        ctx.tracer = self.tracer
         return self._run(ctx, 0, [], 0, pause_before)
 
     def resume(
@@ -427,6 +428,7 @@ class StageEngine:
         pause_before: Optional[str],
         pause_armed: bool = True,
     ):
+        ctx.tracer = self.tracer
         while i < len(self._stages):
             stage = self._stages[i]
             if (
@@ -434,6 +436,7 @@ class StageEngine:
                 and pause_before is not None
                 and stage.name == pause_before
             ):
+                ctx.tracer = None
                 return EnginePause(
                     ctx=ctx,
                     next_index=i,

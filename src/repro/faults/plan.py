@@ -123,6 +123,10 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
+    def arms(self, stage: str, kinds: Iterable[str]) -> bool:
+        """Is a fault of one of ``kinds`` armed while ``stage`` runs?"""
+        return any(s.kind in kinds and s.matches(stage) for s in self.specs)
+
     @staticmethod
     def single(
         kind: str,

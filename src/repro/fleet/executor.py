@@ -44,10 +44,10 @@ processes; it owns everything that must *not* cross shard boundaries:
   Phase B runs the sessions with those results staged; every staged
   value is bit-identical to what the live stage would compute, so the
   aggregate document is byte-identical across staging levels (CI
-  ``cmp``-checks this).  Acoustic staging (probe and otp) turns itself
-  off when fault injection is configured — injector state depends on
-  cross-stage sequencing that out-of-band replay cannot reproduce
-  (:func:`effective_staging`).
+  ``cmp``-checks this).  Faulted runs stage too: injectors draw from
+  their own streams, so the OTP waves run each session's acoustic
+  hooks on its row; only the probe replay turns off for plans arming
+  an acoustic fault at ``probe-tx`` (:func:`effective_staging`).
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -72,6 +72,7 @@ from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..dsp.energy import rms, spl_to_amplitude
 from ..errors import ChannelError, ConfigurationError, WearLockError
+from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
 from ..modem.context import signal_plane
 from ..modem.probe import ChannelProber
@@ -162,21 +163,20 @@ def partition_indices(keys) -> Dict[object, List[int]]:
     return groups
 
 
-def effective_staging(staging: str, faulted: bool) -> str:
-    """Degrade a requested staging level to what can run bit-exactly.
+def effective_staging(staging: str, faults: str) -> str:
+    """The Phase-A level a shard stages at ``staging`` under ``faults``.
 
-    Fault injection sequences its draws *across* stages, which no
-    out-of-band replay can reproduce, so both acoustic levels
-    (``"probe"`` and ``"otp"``) degrade to DTW-only staging when a
-    fault plan is configured.  The map is monotone: a faulted run never
-    stages *more* than a fault-free run at the same requested level,
-    and fault-free runs are untouched.
+    The probe replay runs before any injector exists, so a plan arming
+    an acoustic fault at ``probe-tx`` (or ``*``) stages Phase A
+    DTW-only.  ``"otp"`` keeps its waves under every plan.
     """
     if staging not in STAGING_LEVELS:
         raise ConfigurationError(
             f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
         )
-    if faulted and staging in ("probe", "otp"):
+    plan = FaultPlan.parse(faults) if faults else FaultPlan()
+    probe_faulted = plan.arms(_PROBE_STAGE, ACOUSTIC_FAULTS)
+    if probe_faulted and staging in ("probe", "otp"):
         return "dtw"
     return staging
 
@@ -498,8 +498,9 @@ def precompute_otp(
        room IR, receiver noise bed, microphone — with the convolutions
        stacked via :func:`~repro.channel.multipath.
        convolve_rows_pairwise` and the noise/mic draws batched per
-       (environment, band, frame length) group.  Sessions whose link
-       has clock skew or a fault injector fall back to the scalar
+       (environment, band, frame length) group.  A fault injector,
+       scoped to ``otp-tx``, hooks its own row where ``transmit`` would.
+       Sessions whose link has clock skew fall back to the scalar
        ``transmit`` (same stream, identical by definition).
     3. **Receive.**  The watch-side plane is rebuilt exactly the way
        :meth:`~repro.protocol.controllers.WatchController.demodulate`
@@ -512,10 +513,22 @@ def precompute_otp(
     Recordings are dropped here: only the sample count survives (for
     the offload arithmetic), plus the post-draw generator state so a
     NACK retransmission continues the stream exactly where live would.
+
+    A plan arming a wireless *and* an acoustic fault at ``otp-tx``
+    gets ``None`` (live transmit): its channel-config message fires the
+    wireless fault first and may abort the stage before the frame.
     """
     n = len(pendings)
     results: List[Optional[PrecomputedOtp]] = [None] * n
-    if not n:
+    keep = [
+        i for i, p in enumerate(pendings)
+        if not (p.ctx.faults
+                and p.ctx.faults.plan.arms(_OTP_STAGE, ACOUSTIC_FAULTS)
+                and p.ctx.faults.plan.arms(_OTP_STAGE, WIRELESS_FAULTS))
+    ]
+    if len(keep) < n:
+        for i, res in zip(keep, precompute_otp([pendings[i] for i in keep])):
+            results[i] = res
         return results
 
     # Pass 1 — tokens + frame assembly, bucketed by signal plane (a
@@ -555,12 +568,16 @@ def precompute_otp(
     # stream.  The emitted waveform is deterministic; everything after
     # it follows transmit()'s draw order on the memoized generator.
     gens = [p.ctx.rng_for(_OTP_STAGE) for p in pendings]
+    injectors = [p.ctx.faults for p in pendings]
+    fired_from = [inj.injected if inj else 0 for inj in injectors]
+    for inj in filter(None, injectors):
+        inj.enter_stage(_OTP_STAGE)
     recordings: List[Optional[np.ndarray]] = [None] * n
     emitted: List[Optional[np.ndarray]] = [None] * n
     batchable: List[int] = []
     for i, pending in enumerate(pendings):
         link = pending.ctx.link
-        if link.clock_skew_ppm or link.injector is not None:
+        if link.clock_skew_ppm:
             recordings[i], _ = link.transmit(
                 tts[i].result.waveform, tts[i].tx_spl, rng=gens[i]
             )
@@ -627,7 +644,9 @@ def precompute_otp(
                 if not link.los:
                     row = row * 10.0 ** (-link.nlos_blocking_db / 20.0)
             loss_db = spreading_loss_db(link.distance_m, d0=D0_METERS)
-            rows.append(row * 10.0 ** (-loss_db / 20.0))
+            row = row * 10.0 ** (-loss_db / 20.0)
+            inj = injectors[i]
+            rows.append(row if inj is None else inj.apply_signal(row))
         lead = int(link0.leading_silence * fs)
         trail = int(link0.trailing_silence * fs)
         width = lead + rows[0].size + trail
@@ -662,6 +681,10 @@ def precompute_otp(
         )
         for row, (i, _, _) in enumerate(rows_idx):
             recordings[i] = recorded[row]
+            if injectors[i] is not None:
+                recordings[i] = injectors[i].apply_recording(
+                    recordings[i], pendings[i].ctx.link.sample_rate
+                )
     states = [gen.bit_generator.state for gen in gens]
 
     # Pass 3 — watch-side receive, planes rebuilt from the config
@@ -739,23 +762,20 @@ def precompute_otp(
             recording_samples=int(recordings[i].size),
             received_bits=bits_out[i],
             rng_state=states[i],
+            faults=tuple(injectors[i].events[fired_from[i]:])
+            if injectors[i] else (),
         )
     return results
 
 
 def _stage_shard(
-    config: FleetConfig, specs: Sequence[SessionSpec], staging: str
+    specs: Sequence[SessionSpec], staging: str
 ) -> List[Optional[PrecomputedPrefilter]]:
-    """Phase A for a whole shard at the requested staging level."""
+    """Phase A for a whole shard at its :func:`effective_staging` level."""
     if staging == "none":
         return [None] * len(specs)
     staged = precompute_prefilter(specs)
-    if staging not in ("probe", "otp") or config.faults:
-        # Fault injection sequences its draws across stages; the
-        # out-of-band probe replay cannot reproduce that, so probe
-        # staging degrades to DTW-only staging under faults (the
-        # ``"otp"`` level, which builds on probe staging, degrades the
-        # same way — see :func:`effective_staging`).
+    if staging not in ("probe", "otp"):
         return staged
     probes, sims, mb_sims = precompute_probe(specs)
     return [
@@ -787,7 +807,6 @@ def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
 
 
 def _stage_shard_contended(
-    config: FleetConfig,
     flat: Sequence[SessionSpec],
     staging: str,
     anns_flat: Sequence[Optional[SceneAnnotation]],
@@ -801,9 +820,9 @@ def _stage_shard_contended(
     """
     aborted = [ann is not None and ann.aborted for ann in anns_flat]
     if not any(aborted):
-        return _stage_shard(config, flat, staging)
+        return _stage_shard(flat, staging)
     live = [i for i, dead in enumerate(aborted) if not dead]
-    staged_live = _stage_shard(config, [flat[i] for i in live], staging)
+    staged_live = _stage_shard([flat[i] for i in live], staging)
     staged_flat: List[Optional[PrecomputedPrefilter]] = [None] * len(flat)
     for j, i in enumerate(live):
         staged_flat[i] = staged_live[j]
@@ -988,6 +1007,7 @@ def _run_shard_otp(
     re-sorted to the canonical ``(user_id, session_index)`` order the
     live driver emits.
     """
+    faults = config.faults or None
     states = []
     for user, specs, offset in shard:
         otp, phone = _user_phone(config, system, user)
@@ -1023,7 +1043,7 @@ def _run_shard_otp(
                     continue
                 phone.keyguard.lock()
                 session = UnlockSession(
-                    _session_config(system, spec, None, retry),
+                    _session_config(system, spec, faults, retry),
                     otp=otp,
                     phone=phone,
                 )
@@ -1074,9 +1094,10 @@ def run_shard(
     wave-batches the Phase-2 OTP transmit/receive
     (:func:`_run_shard_otp`).  When ``staging`` is omitted the legacy
     ``batched`` flag maps ``True`` to ``"probe"`` and ``False`` to
-    ``"none"``.  Under fault injection the acoustic levels degrade to
-    ``"dtw"`` (:func:`effective_staging`).  All levels produce
-    byte-identical aggregates.
+    ``"none"``.  Fault plans stage too; only a plan arming an acoustic
+    fault at ``probe-tx`` stages Phase A DTW-only
+    (:func:`effective_staging`), and the OTP waves still run.  All
+    levels produce byte-identical aggregates.
 
     ``contention`` is this shard's slice of the discrete-event kernel's
     plan (:func:`~repro.fleet.events.build_contention_plan`).  The
@@ -1087,7 +1108,7 @@ def run_shard(
     """
     if staging is None:
         staging = "probe" if batched else "none"
-    staging = effective_staging(staging, bool(config.faults))
+    phase_a = effective_staging(staging, config.faults)
     system = SystemConfig()
     retry = RetryPolicy() if config.retry else None
     faults = config.faults or None
@@ -1113,11 +1134,9 @@ def run_shard(
         else None
         for spec in flat
     ]
-    staged_flat = _stage_shard_contended(config, flat, staging, anns_flat)
+    staged_flat = _stage_shard_contended(flat, phase_a, anns_flat)
 
     if staging == "otp":
-        # effective_staging() already degraded faulted runs, so the
-        # wave driver never sees an injector.
         return _run_shard_otp(
             config, system, retry, shard, staged_flat, anns_flat
         )

@@ -81,9 +81,10 @@ class FleetScheduler:
         STAGING_LEVELS`): ``"none"`` runs every stage live, ``"dtw"``
         batches the motion DTW per shard, ``"probe"`` additionally
         batches the Phase-1 probe DSP, and ``"otp"`` additionally
-        wave-batches the Phase-2 OTP transmit/receive (acoustic levels
-        degrade to ``"dtw"`` under fault injection).  Every level
-        produces a byte-identical aggregate.
+        wave-batches the Phase-2 OTP transmit/receive (a fault plan
+        arming an acoustic fault at ``probe-tx`` stages Phase A
+        DTW-only; the waves still run).  Every level produces a
+        byte-identical aggregate.
     """
 
     def __init__(

@@ -225,13 +225,18 @@ class PrecomputedOtp:
     the live path does).  ``rng_state`` is the ``otp-tx`` generator's
     bit state after the staged draws; the consuming stage restores it
     so a NACK-downgrade retransmission continues the stream exactly
-    where a live first transmission would have left it.
+    where a live first transmission would have left it.  ``faults``
+    holds the :class:`~repro.faults.InjectedFault`\\ s the session's
+    injector fired on this row out of band; the consuming stage hands
+    them to the injector's observer inside its own span, where the
+    live hooks would have reported them.
     """
 
     token_tx: object
     recording_samples: int
     received_bits: Optional[np.ndarray]
     rng_state: dict
+    faults: Tuple[object, ...] = ()
 
 
 @dataclass(frozen=True)

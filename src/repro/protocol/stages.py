@@ -411,6 +411,9 @@ class OtpTxStage:
             ctx.token_tx = staged.token_tx
             ctx.data_recording = None
             ctx.data_samples = staged.recording_samples
+            for fault in staged.faults:
+                if ctx.faults.observer is not None:
+                    ctx.faults.observer(fault)
         else:
             ctx.token_tx = ctx.phone.prepare_token(
                 ctx.mode_decision, ctx.report.recommended_plan, ctx.tx_spl

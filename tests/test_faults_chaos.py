@@ -297,16 +297,17 @@ class TestInjectorUnit:
 
 
 class TestStagedFleetUnderFaults:
-    """Fault injection against the fleet's staged OTP fast path.
+    """Fault injection against the fleet's staged fast paths.
 
-    The wave-batched Phase-2 replay cannot reproduce a fault plan's
-    cross-stage draw sequencing, so ``staging="otp"`` must *degrade*
-    (to DTW-only staging, see :func:`repro.fleet.executor.
-    effective_staging`) rather than stage wrongly or raise — and the
-    degraded run must stay byte-identical to a fully live one.
+    The OTP waves apply each session's own injector to its row, so a
+    faulted ``staging="otp"`` shard must stay byte-identical to a fully
+    live one for every fault kind at every stage.  Only the Phase-A
+    probe replay turns off, and only for plans arming an acoustic
+    fault at ``probe-tx`` (:func:`repro.fleet.executor.
+    effective_staging`).
     """
 
-    @pytest.mark.parametrize("stage", ("otp-tx", "verify"))
+    @pytest.mark.parametrize("stage", UNLOCK_STAGE_NAMES + ("*",))
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_staged_shard_never_raises_and_matches_live(self, kind, stage):
         from repro.fleet import FleetConfig, run_shard
@@ -319,17 +320,62 @@ class TestStagedFleetUnderFaults:
         staged = run_shard(cfg, 0, 3, staging="otp")
         assert staged == live
 
-    def test_acoustic_levels_degrade_only_when_faulted(self):
+    @pytest.mark.parametrize("retry", (True, False))
+    @pytest.mark.parametrize(
+        "plan",
+        (
+            "burst_noise@otp-tx:severity=2;msg_drop@verify:p=0.3;"
+            "latency_spike@*:p=0.2",
+            # Wireless and acoustic faults both armed at otp-tx: live,
+            # the channel-config drops fire first and can abort the
+            # stage before the frame is sent, so these rows run live.
+            "msg_drop@otp-tx:hits=none;burst_noise@otp-tx",
+        ),
+    )
+    def test_multi_spec_plan_matches_live(self, plan, retry):
+        from repro.fleet import FleetConfig, run_shard
+
+        cfg = FleetConfig(
+            n_users=3, hours=24.0, seed=11, faults=plan, retry=retry
+        )
+        live = run_shard(cfg, 0, 3, staging="none")
+        assert run_shard(cfg, 0, 3, staging="otp") == live
+        assert sum(r.faults_injected for r in live) > 0
+
+    @pytest.mark.parametrize("stage", UNLOCK_STAGE_NAMES + ("*",))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_probe_staging_off_exactly_for_acoustic_probe_faults(
+        self, kind, stage
+    ):
+        from repro.faults import ACOUSTIC_FAULTS
         from repro.fleet.executor import effective_staging
 
+        plan = f"{kind}@{stage}"
+        off = kind in ACOUSTIC_FAULTS and stage in ("probe-tx", "*")
         for level in ("probe", "otp"):
-            assert effective_staging(level, faulted=True) == "dtw"
-            assert effective_staging(level, faulted=False) == level
+            assert effective_staging(level, plan) == ("dtw" if off else level)
         for level in ("none", "dtw"):
-            assert effective_staging(level, faulted=True) == level
+            assert effective_staging(level, plan) == level
+
+    @pytest.mark.parametrize(
+        "plan", ("", "burst_noise@*", "msg_drop@otp-tx;snr_collapse@otp-tx")
+    )
+    def test_otp_waves_run_under_every_plan(self, plan, monkeypatch):
+        """Even a plan that turns probe staging off keeps the waves."""
+        from repro.fleet import FleetConfig, executor, run_shard
+
+        calls = []
+        real = executor.precompute_otp
+        monkeypatch.setattr(
+            executor, "precompute_otp",
+            lambda pendings: calls.append(len(pendings)) or real(pendings),
+        )
+        cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=plan)
+        run_shard(cfg, 0, 3, staging="otp")
+        assert calls and sum(calls) > 0
 
     def test_faulted_scheduler_worker_invariance(self):
-        """Degradation must not break the worker-count contract."""
+        """Staged fault hooks must not break the worker-count contract."""
         import json
 
         from repro.fleet import FleetConfig, FleetScheduler

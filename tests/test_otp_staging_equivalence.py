@@ -10,11 +10,14 @@ mirroring ``tests/test_probe_staging_equivalence.py``:
 * each batch primitive equals its scalar counterpart bit-for-bit,
   including the generator stream positions it leaves behind;
 * a staged ``begin``/``feed``/``finish`` session equals a live
-  ``run()`` field-for-field, including the ``otp-tx`` stream position;
+  ``run()`` field-for-field, including the ``otp-tx`` stream position,
+  and under fault plans the injected-fault labels, their order and
+  the spans their trace counters land on;
 * whole shards and scheduled fleets produce byte-identical aggregates
   at every staging level and worker count;
-* the order-preserving-partition and monotone-degradation invariants
-  the wave driver leans on hold for arbitrary inputs (hypothesis).
+* the order-preserving-partition invariant the wave driver leans on,
+  and the fault rule that picks the Phase-A level, hold for arbitrary
+  inputs (hypothesis).
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from repro.channel.multipath import (
 from repro.channel.noise import NoiseScene, tone_jammer
 from repro.channel.hardware import SpeakerModel
 from repro.config import ModemConfig
+from repro.core.trace import Tracer
 from repro.errors import ModemError
+from repro.faults import ACOUSTIC_FAULTS, FAULT_KINDS, FaultPlan, FaultSpec
 from repro.fleet import FleetConfig, FleetScheduler, run_shard
 from repro.fleet.executor import (
     STAGING_LEVELS,
@@ -51,7 +56,8 @@ from repro.modem.synchronizer import (
     fine_sync_offsets_rows,
 )
 from repro.modem.transmitter import OfdmTransmitter
-from repro.protocol.session import SessionConfig, UnlockSession
+from repro.protocol.session import RetryPolicy, SessionConfig, UnlockSession
+from repro.protocol.stages import UNLOCK_STAGE_NAMES
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
@@ -314,22 +320,29 @@ class TestStagedSessionEquivalence:
             ),
         )
 
-    def _run_staged(self, seed):
-        session = UnlockSession(SessionConfig(seed=seed))
-        pending = session.begin()
-        waves = 0
+    def _run_staged(self, seed, faults=None, tracer=None):
+        config = SessionConfig(
+            seed=seed, faults=faults, retry=RetryPolicy() if faults else None
+        )
+        pending = UnlockSession(config).begin(tracer=tracer)
+        staged_faults = 0
         while pending.paused:
             staged = precompute_otp([pending])[0]
-            waves += 1
+            staged_faults += len(staged.faults) if staged else 0
             if not pending.feed(staged):
                 break
-        return pending, waves
+        return pending, staged_faults
+
+    @staticmethod
+    def _run_live(seed, faults=None, tracer=None):
+        config = SessionConfig(
+            seed=seed, faults=faults, retry=RetryPolicy() if faults else None
+        )
+        return UnlockSession(config).begin(tracer=tracer, pause_before=None)
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_staged_session_matches_live(self, seed):
-        live_pending = UnlockSession(SessionConfig(seed=seed)).begin(
-            pause_before=None
-        )
+        live_pending = self._run_live(seed)
         live = live_pending.finish()
         staged_pending, _ = self._run_staged(seed)
         staged = staged_pending.finish()
@@ -342,6 +355,62 @@ class TestStagedSessionEquivalence:
                 staged_pending.ctx.rng_for("otp-tx").bit_generator.state
                 == live_pending.ctx.rng_for("otp-tx").bit_generator.state
             )
+
+    #: Plans whose otp-tx faults fire out of band in the staged run,
+    #: next to faults at other stages (and, last, a plan whose otp-tx
+    #: wireless fault sends its rows live).
+    FAULT_PLANS = (
+        "burst_noise@otp-tx:severity=2;msg_drop@verify:p=0.3;"
+        "latency_spike@*:p=0.2",
+        "snr_collapse@*:p=0.5,hits=none;jammer_onset@otp-tx:p=0.7;"
+        "energy_spike@otp-tx",
+        "frame_truncation@otp-tx:hits=none;mic_dropout@*:p=0.5;"
+        "msg_late@probe-process",
+        "msg_late@*:p=0.5,hits=none;burst_noise@otp-tx:hits=none",
+    )
+
+    @pytest.mark.parametrize("plan", FAULT_PLANS)
+    def test_faulted_staged_session_matches_live(self, plan):
+        """Fleet records keep only the fault *count*, so a staged hook
+        that fired under the wrong stage label, or out of order, would
+        pass the shard-level checks; the outcome keeps the labels."""
+        staged_total = 0
+        for seed in (7, 11, 23):
+            live_pending = self._run_live(seed, plan)
+            live = live_pending.finish()
+            staged_pending, staged_faults = self._run_staged(seed, plan)
+            staged = staged_pending.finish()
+            staged_total += staged_faults
+            assert self._fingerprint(staged) == self._fingerprint(live)
+            assert staged.faults_injected == live.faults_injected
+            assert (
+                staged_pending.ctx.rng_for("otp-tx").bit_generator.state
+                == live_pending.ctx.rng_for("otp-tx").bit_generator.state
+            )
+        if plan != self.FAULT_PLANS[-1]:
+            assert staged_total > 0, "no fault fired in the staged hooks"
+
+    @pytest.mark.parametrize("plan", FAULT_PLANS[:2])
+    def test_faulted_staged_trace_counters_match_live(self, plan):
+        """Staged hooks fire while the session is paused; their
+        ``fault.injected`` counters must still land on ``otp-tx``, not
+        on whatever span the caller has open around the wave."""
+
+        def counters(tracer):
+            report = tracer.report()
+            per_span = [
+                (s.name, s.parent, s.counters.get("fault.injected"))
+                for s in report.spans
+            ]
+            return per_span, report.counter_totals("fault")
+
+        for seed in (7, 11, 23):
+            live_tracer, staged_tracer = Tracer(), Tracer()
+            with live_tracer.span("caller"):
+                self._run_live(seed, plan, live_tracer).finish()
+            with staged_tracer.span("caller"):
+                self._run_staged(seed, plan, staged_tracer)[0].finish()
+            assert counters(staged_tracer) == counters(live_tracer)
 
     def test_some_seed_reaches_phase_two(self):
         reached = []
@@ -378,9 +447,12 @@ class TestStagedOtpFleet:
         assert whole == halves
 
     def test_faulted_shard_degrades_but_stays_identical(self):
+        """An acoustic fault at every stage turns the Phase-A probe
+        replay off; the OTP waves still stage, hooks applied per row."""
         cfg = FleetConfig(
-            n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
+            n_users=4, hours=24.0, seed=9, faults="burst_noise@*:p=0.5"
         )
+        assert effective_staging("otp", cfg.faults) == "dtw"
         live = run_shard(cfg, 0, 4, staging="none")
         staged = run_shard(cfg, 0, 4, staging="otp")
         assert live == staged
@@ -441,24 +513,28 @@ class TestWaveInvariants:
 
     @given(
         st.sampled_from(STAGING_LEVELS),
-        st.booleans(),
-        st.booleans(),
+        st.lists(
+            st.builds(
+                FaultSpec,
+                kind=st.sampled_from(FAULT_KINDS),
+                stage=st.sampled_from(UNLOCK_STAGE_NAMES + ("*",)),
+            ),
+            max_size=4,
+        ),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_effective_staging_monotone_degradation(
-        self, level, faulted, refaulted
-    ):
-        rank = {name: i for i, name in enumerate(STAGING_LEVELS)}
-        effective = effective_staging(level, faulted)
-        # Never stages more than requested; fault-free is untouched;
-        # faulted runs never keep an acoustic level.
-        assert rank[effective] <= rank[level]
-        if not faulted:
-            assert effective == level
+    @settings(max_examples=200, deadline=None)
+    def test_effective_staging_follows_probe_fault_rule(self, level, specs):
+        """Phase A drops probe staging exactly when the plan arms an
+        acoustic fault at ``probe-tx``; no plan changes anything else,
+        and applying the rule twice changes nothing more."""
+        plan = FaultPlan.of(specs).describe() if specs else ""
+        probe_faulted = any(
+            s.kind in ACOUSTIC_FAULTS and s.stage in ("probe-tx", "*")
+            for s in specs
+        )
+        effective = effective_staging(level, plan)
+        if level in ("probe", "otp") and probe_faulted:
+            assert effective == "dtw"
         else:
-            assert effective in ("none", "dtw")
-        # Degrading twice (any fault state) is idempotent: the ladder
-        # only ever steps down, so re-checking cannot re-raise it.
-        again = effective_staging(effective, refaulted)
-        assert rank[again] <= rank[effective]
-        assert effective_staging(again, refaulted) == again
+            assert effective == level
+        assert effective_staging(effective, plan) == effective

@@ -31,7 +31,7 @@ from repro.dsp.filters import (
 from repro.dsp.spectrum import welch_psd, welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, run_shard
-from repro.fleet.executor import STAGING_LEVELS
+from repro.fleet.executor import STAGING_LEVELS, effective_staging
 from repro.modem.probe import ChannelProber
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
@@ -197,11 +197,12 @@ class TestStagedProbeFleet:
         assert per_level["none"] == per_level["dtw"] == per_level["probe"]
 
     def test_faulted_shard_degrades_but_stays_identical(self):
-        """Probe staging turns itself off under fault injection; the
-        records must still match the all-live run."""
+        """Probe staging turns itself off under an acoustic fault at
+        ``probe-tx``; the records must still match the all-live run."""
         cfg = FleetConfig(
-            n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
+            n_users=4, hours=24.0, seed=9, faults="burst_noise@probe-tx:p=0.5"
         )
+        assert effective_staging("probe", cfg.faults) == "dtw"
         live = run_shard(cfg, 0, 4, staging="none")
         staged = run_shard(cfg, 0, 4, staging="probe")
         assert live == staged
