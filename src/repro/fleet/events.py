@@ -41,17 +41,20 @@ Determinism: the kernel runs over the *whole* population before any
 shard executes, so its verdicts — per-session backoff counts, added
 delay, noise penalties, aborts — are a pure function of the config,
 independent of worker count, shard size, and staging level.  The
-scheduler computes the plan once and hands each shard its slice;
-direct :func:`~repro.fleet.executor.run_shard` callers get an
-identical plan rebuilt in-shard.  At ``scene_density == 0`` the plan
+scheduler computes the plan once and hands each shard its slice plus
+the ids of its users that have sessions (the walk over the population
+records them, so shards synthesize no idle user); direct
+:func:`~repro.fleet.executor.run_shard` callers get an identical plan
+rebuilt in-shard.  At ``scene_density == 0`` the plan
 is empty and the fleet reduces bit-for-bit to the independent path.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -146,10 +149,20 @@ class ContentionPlan:
 
     Sessions absent from the map (private environments, or a run with
     ``scene_density == 0``) execute exactly as the independent path
-    would.
+    would.  ``active_users`` lists, in ascending order, every user with
+    at least one session (contended or not) when the kernel walked the
+    population; it is ``None`` when it did not (``scene_density == 0``,
+    or a plan built by hand).
     """
 
     annotations: Dict[Tuple[int, int], SceneAnnotation]
+    active_users: Optional[Tuple[int, ...]] = None
+    _keys: List[Tuple[int, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_keys", sorted(self.annotations))
 
     def get(self, user_id: int, session_index: int) -> Optional[SceneAnnotation]:
         return self.annotations.get((user_id, session_index))
@@ -157,12 +170,23 @@ class ContentionPlan:
     def for_user_range(
         self, user_lo: int, user_hi: int
     ) -> Dict[Tuple[int, int], SceneAnnotation]:
-        """The slice one shard needs (small enough to pickle to a worker)."""
-        return {
-            key: ann
-            for key, ann in self.annotations.items()
-            if user_lo <= key[0] < user_hi
-        }
+        """The slice one shard needs (small enough to pickle to a worker).
+
+        A bisect over the sorted keys, so a slice costs O(its size) and
+        a whole run's slices cost O(sessions), not O(shards x sessions).
+        """
+        lo = bisect.bisect_left(self._keys, (user_lo,))
+        hi = bisect.bisect_left(self._keys, (user_hi,), lo)
+        return {key: self.annotations[key] for key in self._keys[lo:hi]}
+
+    def active_in(self, user_lo: int, user_hi: int) -> Optional[List[int]]:
+        """The ids in ``[user_lo, user_hi)`` that have sessions, ascending
+        (``None`` when :attr:`active_users` is unknown)."""
+        if self.active_users is None:
+            return None
+        lo = bisect.bisect_left(self.active_users, user_lo)
+        hi = bisect.bisect_left(self.active_users, user_hi, lo)
+        return list(self.active_users[lo:hi])
 
 
 def scene_slots(config: FleetConfig, environment: str) -> int:
@@ -213,6 +237,10 @@ def build_contention_plan(config: FleetConfig) -> ContentionPlan:
     attempt order — immune to global interleaving), and re-enters the
     heap at the holder's release time plus the slice.  The
     :data:`MAX_BACKOFFS`-th collision aborts the session instead.
+
+    The same walk over the schedule records the ids of users with any
+    session as :attr:`ContentionPlan.active_users` (O(active users)
+    ints; the specs themselves are not kept for the shards).
     """
     plan: Dict[Tuple[int, int], SceneAnnotation] = {}
     if config.scene_density <= 0.0:
@@ -222,7 +250,10 @@ def build_contention_plan(config: FleetConfig) -> ContentionPlan:
     scene_key: Dict[Tuple[int, int], Tuple[str, int]] = {}
     scene_users: Dict[Tuple[str, int], set] = {}
     heap: List[Tuple[float, int, int, int]] = []
+    active: List[int] = []
     for spec in _all_specs(config):
+        if not active or active[-1] != spec.user_id:
+            active.append(spec.user_id)  # specs arrive in user order
         slot = scene_of(config, spec.environment, spec.user_id)
         if slot is None:
             continue
@@ -288,4 +319,4 @@ def build_contention_plan(config: FleetConfig) -> ContentionPlan:
             noise_penalty_db=float(st["penalty"]),
             aborted=bool(st["aborted"]),
         )
-    return ContentionPlan(annotations=plan)
+    return ContentionPlan(annotations=plan, active_users=tuple(active))

@@ -23,14 +23,16 @@ processes; it owns everything that must *not* cross shard boundaries:
     whole shard's motion DTW in one anti-diagonal wavefront
     (:func:`repro.sensors.dtw.normalized_dtw_batch` — bit-identical to
     the scalar recurrence, see ``tests/test_fleet.py``);
-  - ``staging="probe"`` (the default) additionally replays each
-    session's ``probe-tx`` stream: the shard's ambient captures, room
-    IRs, probe propagation, synchronizer cross-correlations, pilot
-    receive FFTs and ambient-similarity fingerprints all run as
-    stacked batches through the vectorized signal plane
-    (:func:`precompute_probe`), with each generator's bit state
-    captured so a re-probe retry continues the stream exactly where
-    the live stage would have;
+  - ``staging="probe"`` (``run_shard``'s ``batched`` default)
+    additionally replays each session's ``probe-tx`` stream: the
+    shard's ambient captures, room IRs, probe propagation,
+    synchronizer cross-correlations, pilot receive FFTs and
+    ambient-similarity fingerprints all run as stacked batches through
+    the vectorized signal plane (:func:`precompute_probe`), with each
+    generator's bit state captured so a re-probe retry continues the
+    stream exactly where the live stage would have; the draw-free
+    setup of each (band, environment) group is built once per process
+    (:func:`_probe_setup`);
   - ``staging="otp"`` additionally batches the **Phase-2 OTP
     transmit/receive**.  Tokens depend on per-user OTP counter state
     (each session's counter position depends on earlier outcomes), so
@@ -56,7 +58,7 @@ SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,12 +67,13 @@ from ..channel.acoustics import D0_METERS, spreading_loss_db
 from ..channel.hardware import MicrophoneModel, SpeakerModel
 from ..channel.link import AcousticLink
 from ..channel.multipath import convolve_ir_rows, convolve_rows_pairwise
-from ..channel.scenarios import get_environment
-from ..config import SystemConfig
+from ..channel.scenarios import Environment, get_environment
+from ..config import ModemConfig, SystemConfig
 from ..core.colocation import AmbientComparator
 from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..dsp.energy import rms, spl_to_amplitude
+from ..dsp.plane import KeyedCache
 from ..errors import ChannelError, ConfigurationError, WearLockError
 from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
@@ -145,6 +148,11 @@ _PROBE_STAGE = "probe-tx"
 #: ``OtpTxStage.name``) — also the stage the wave executor pauses
 #: sessions in front of.
 _OTP_STAGE = "otp-tx"
+
+#: Probe-group setup per ``(system, band, environment)``
+#: (:func:`_probe_setup`): a run meets at most two bands times five
+#: environments.
+_PROBE_SETUPS = KeyedCache("fleet.probe_setup", maxsize=32)
 
 
 def partition_indices(keys) -> Dict[object, List[int]]:
@@ -249,6 +257,53 @@ def precompute_prefilter(
     ]
 
 
+@dataclass(frozen=True)
+class _ProbeSetup:
+    """The draw-free half of one probe group: a pure function of
+    ``(system, band, environment)``, shared by every shard of a run."""
+
+    env: Environment
+    modem: ModemConfig
+    mic: MicrophoneModel
+    speaker: SpeakerModel
+    prober: ChannelProber
+    noise_spl_est: float
+    tx_spl: float
+    #: The probe as the speaker renders it at ``tx_spl`` (read-only).
+    emitted: np.ndarray
+
+
+def _probe_setup(system: SystemConfig, band: str, env_name: str) -> _ProbeSetup:
+    """The cached :class:`_ProbeSetup` of one ``(band, environment)``."""
+
+    def build() -> _ProbeSetup:
+        env = get_environment(env_name)
+        modem_system = system
+        if band == "ultrasound":
+            modem_system = replace(
+                system, modem=system.modem.near_ultrasound()
+            )
+        modem = modem_system.modem
+        fs = modem.sample_rate
+        mic = (
+            MicrophoneModel(sample_rate=fs)
+            if band == "audible"
+            else MicrophoneModel.wide_band(fs)
+        )
+        speaker = SpeakerModel(sample_rate=fs)
+        prober = ChannelProber(modem)
+        noise_spl_est = float(env.noise.effective_spl())
+        _, tx_spl = choose_volume_spl(modem_system, noise_spl_est)
+        link = AcousticLink(sample_rate=fs, speaker=speaker, microphone=mic)
+        emitted = link.emitted_waveform(prober.build_probe(), tx_spl)
+        emitted.flags.writeable = False
+        return _ProbeSetup(
+            env, modem, mic, speaker, prober, noise_spl_est, tx_spl, emitted
+        )
+
+    return _PROBE_SETUPS.get((system, band, env_name), build)
+
+
 def _stage_probe_group(
     system: SystemConfig,
     band: str,
@@ -270,30 +325,21 @@ def _stage_probe_group(
     exact scalar expressions, so each row is bit-identical to the live
     :meth:`~repro.channel.link.AcousticLink.transmit`.
     """
-    env = get_environment(env_name)
-    modem_system = system
-    if band == "ultrasound":
-        modem_system = replace(system, modem=system.modem.near_ultrasound())
-    modem = modem_system.modem
-    fs = modem.sample_rate
-    mic = (
-        MicrophoneModel(sample_rate=fs)
-        if band == "audible"
-        else MicrophoneModel.wide_band(fs)
+    setup = _probe_setup(system, band, env_name)
+    env, modem, mic, prober = setup.env, setup.modem, setup.mic, setup.prober
+    noise_spl_est, tx_spl, emitted = (
+        setup.noise_spl_est, setup.tx_spl, setup.emitted
     )
+    fs = modem.sample_rate
     template = AcousticLink(
         sample_rate=fs,
-        speaker=SpeakerModel(sample_rate=fs),
+        speaker=setup.speaker,
         microphone=mic,
         room=env.room,
         noise=env.noise,
         distance_m=group[0].distance_m,
         los=True,
     )
-    prober = ChannelProber(modem)
-    noise_spl_est = float(env.noise.effective_spl())
-    _, tx_spl = choose_volume_spl(modem_system, noise_spl_est)
-    emitted = template.emitted_waveform(prober.build_probe(), tx_spl)
 
     gens = [
         StageRng(seed=spec.seed).for_stage(_PROBE_STAGE) for spec in group
@@ -1080,12 +1126,21 @@ def run_shard(
     batched: bool = True,
     staging: Optional[str] = None,
     contention: Optional[Dict[Tuple[int, int], SceneAnnotation]] = None,
+    users: Optional[Sequence[int]] = None,
 ) -> List[SessionRecord]:
     """Simulate users ``[user_lo, user_hi)`` and return their records.
 
     Specs are synthesized in-worker (population synthesis is cheap and
     order-free), so only the :class:`~repro.fleet.population.
-    FleetConfig` and the range cross the process boundary.
+    FleetConfig`, the range and at most a list of ids cross the process
+    boundary.  ``users``, when given, names the ids in the range known
+    to have sessions (ascending, e.g. :meth:`~repro.fleet.events.
+    ContentionPlan.active_in`); only those users are synthesized, and
+    ids that are unsorted, repeated or outside ``[user_lo, user_hi)``
+    raise :class:`~repro.errors.ConfigurationError`.  Without it the
+    shard synthesizes every user in the range, except when it rebuilds
+    the contention plan itself, whose walk already found the active
+    ids.
 
     ``staging`` selects the Phase-A fast path (:data:`STAGING_LEVELS`):
     ``"none"`` runs every stage live (the benchmark's serial baseline),
@@ -1112,16 +1167,25 @@ def run_shard(
     system = SystemConfig()
     retry = RetryPolicy() if config.retry else None
     faults = config.faults or None
+    if users is not None:
+        users = list(users)
+        if any(not user_lo <= u < user_hi for u in users) or any(
+            a >= b for a, b in zip(users, users[1:])
+        ):
+            raise ConfigurationError(
+                f"users must be ascending ids in [{user_lo}, {user_hi})"
+            )
     if contention is None and config.scene_density > 0.0:
-        contention = build_contention_plan(config).for_user_range(
-            user_lo, user_hi
-        )
+        plan = build_contention_plan(config)
+        contention = plan.for_user_range(user_lo, user_hi)
+        if users is None:
+            users = plan.active_in(user_lo, user_hi)
 
     # Synthesize the whole shard's specs up front so Phase A batches
     # across *users*, not just within one user's sessions.
     shard: List[Tuple[object, List[SessionSpec], int]] = []
     flat: List[SessionSpec] = []
-    for user_id in range(user_lo, user_hi):
+    for user_id in range(user_lo, user_hi) if users is None else users:
         user = synthesize_user(config, user_id)
         specs = user_sessions(config, user)
         if not specs:

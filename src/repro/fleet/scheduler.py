@@ -74,8 +74,9 @@ class FleetScheduler:
         in a ``fleet.run`` span carrying session/shard/user counters.
     batched:
         Legacy switch: ``False`` forces the all-live path (staging
-        ``"none"``), ``True`` the full fast path (staging ``"probe"``).
-        Ignored when ``staging`` is given explicitly.
+        ``"none"``), ``True`` the full fast path (staging ``"otp"``,
+        the ``fleet run`` default).  Ignored when ``staging`` is given
+        explicitly.
     staging:
         Shard staging level (see :data:`~repro.fleet.executor.
         STAGING_LEVELS`): ``"none"`` runs every stage live, ``"dtw"``
@@ -101,7 +102,7 @@ class FleetScheduler:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
         if staging is None:
-            staging = "probe" if batched else "none"
+            staging = "otp" if batched else "none"
         if staging not in STAGING_LEVELS:
             raise ConfigurationError(
                 f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
@@ -129,30 +130,29 @@ class FleetScheduler:
         with self.tracer.span("fleet.run"):
             # The contention kernel is global by nature (scenes span
             # shards), so its plan is computed once here and sliced per
-            # shard — each worker receives only its users' annotations.
-            # The plan is a pure function of the config, which is what
-            # keeps the aggregate byte-identical for any worker count.
+            # shard — each worker receives only its users' annotations
+            # and the ids of its users that have sessions, so it
+            # synthesizes no idle user.  The plan is a pure function of
+            # the config, which is what keeps the aggregate
+            # byte-identical for any worker count.
             plan = (
                 build_contention_plan(self.config)
                 if self.config.scene_density > 0.0
                 else None
             )
 
-            def _slice(lo: int, hi: int):
-                return plan.for_user_range(lo, hi) if plan else None
+            def _args(lo: int, hi: int):
+                if plan is None:
+                    return (self.config, lo, hi, self.batched, self.staging)
+                return (
+                    self.config, lo, hi, self.batched, self.staging,
+                    plan.for_user_range(lo, hi), plan.active_in(lo, hi),
+                )
 
             if self.workers > 1:
                 with ProcessPoolExecutor(max_workers=self.workers) as pool:
                     futures = [
-                        pool.submit(
-                            run_shard,
-                            self.config,
-                            lo,
-                            hi,
-                            self.batched,
-                            self.staging,
-                            _slice(lo, hi),
-                        )
+                        pool.submit(run_shard, *_args(lo, hi))
                         for lo, hi in bounds
                     ]
                     # Fold in shard-index order: future[i] may finish
@@ -164,16 +164,7 @@ class FleetScheduler:
                         agg.merge_records(future.result())
             else:
                 for lo, hi in bounds:
-                    agg.merge_records(
-                        run_shard(
-                            self.config,
-                            lo,
-                            hi,
-                            self.batched,
-                            self.staging,
-                            _slice(lo, hi),
-                        )
-                    )
+                    agg.merge_records(run_shard(*_args(lo, hi)))
             self.tracer.counter("users", float(self.config.n_users))
             self.tracer.counter("shards", float(len(bounds)))
             self.tracer.counter("sessions", float(agg.sessions))
